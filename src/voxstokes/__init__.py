@@ -24,9 +24,8 @@ from .krylov import (
     jacobi_prec,
     lanczos_condition_estimate,
     pcg,
-    ssor_prec,
 )
-from .operators import DofMap, StaggeredSystem, assemble, axis_index, write_triplets
+from .operators import DofMap, StaggeredSystem, assemble, axis_index
 from .schur import (
     SchurConfig,
     SolveReport,
@@ -67,12 +66,10 @@ __all__ = [
     "jacobi_prec",
     "lanczos_condition_estimate",
     "pcg",
-    "ssor_prec",
     "DofMap",
     "StaggeredSystem",
     "assemble",
     "axis_index",
-    "write_triplets",
     "SchurConfig",
     "SolveReport",
     "TOLERANCE_PROFILES",

@@ -29,14 +29,21 @@ from .geometry import (
     stats,
     write_grid,
 )
+from .krylov import NORM_KINDS
 from .operators import assemble, axis_index
-from .schur import SchurConfig, TOLERANCE_PROFILES, profile_config, solve_schur
+from .schur import (
+    PRECONDITIONERS,
+    SchurConfig,
+    TOLERANCE_PROFILES,
+    profile_config,
+    solve_schur,
+)
 from .spectra import DENSE_CAP, analyze_spectrum, nev_formula_check
 
 __all__ = ["main", "SweepSpec", "run_sweep", "read_csv_rows", "THRESHOLDS"]
 
 THRESHOLDS = (1e-2, 5e-3, 1e-3)
-_NORM_FLAG = {"prec": "preconditioned", "unprec": "unpreconditioned"}
+_NORM_FLAG = dict(zip(("prec", "unprec"), NORM_KINDS))
 
 SUMMARY_COLUMNS = (
     "n_avg", "stv_pct", "prec", "iters", "cond_est",
@@ -81,7 +88,7 @@ class SweepSpec:
 
     base: PackingParams
     values: tuple
-    precs: tuple = ("uzawa", "simple")
+    precs: tuple = PRECONDITIONERS
     profile: str = "paper2d"
     out_dir: str = "."
     flow_dir: int = 0
@@ -92,7 +99,7 @@ class SweepSpec:
         if not self.precs:
             raise ValueError("sweep needs at least one preconditioner")
         for prec in self.precs:
-            if prec not in ("uzawa", "simple"):
+            if prec not in PRECONDITIONERS:
                 raise ValueError(f"unknown preconditioner {prec!r}")
         if self.profile not in TOLERANCE_PROFILES:
             raise ValueError(f"unknown tolerance profile {self.profile!r}")
@@ -129,6 +136,21 @@ def _threshold_rows(value, prec, cfg, report):
     return rows
 
 
+def _error_status(exc) -> str:
+    return "error: " + " ".join(str(exc).split())
+
+
+def _failed_member(value, precs, exc, stv_pct=None):
+    """The rows of a member that failed before any solve could report."""
+    return {
+        "summary": [{"n_avg": value, "prec": prec, "status": _error_status(exc)}
+                    for prec in precs],
+        "thresholds": [],
+        "correlation": {"n_avg": value, "stv_pct": stv_pct,
+                        "cond_S": None, "cond_precond": None},
+    }
+
+
 def _sweep_value_worker(payload):
     """Run one n_avg member: reference solve, then each preconditioner."""
     params, value, precs, profile, flow_dir, out_dir = payload
@@ -144,11 +166,7 @@ def _sweep_value_worker(payload):
         ref.write_json(os.path.join(out_dir, f"navg{value}_reference.json"))
         k_ref = ref.k_value
     except Exception as exc:  # geometry or reference failure poisons all rows
-        message = "error: " + " ".join(str(exc).split())
-        for prec in precs:
-            summary.append({"n_avg": value, "prec": prec, "status": message})
-        return {"summary": summary, "thresholds": thresholds,
-                "correlation": correlation}
+        return _failed_member(value, precs, exc, correlation["stv_pct"])
 
     for prec in precs:
         row = {
@@ -183,7 +201,7 @@ def _sweep_value_worker(payload):
             else:
                 correlation["cond_precond"] = report.cond_est_outer
         except Exception as exc:
-            row["status"] = "error: " + " ".join(str(exc).split())
+            row["status"] = _error_status(exc)
         summary.append(row)
     return {"summary": summary, "thresholds": thresholds,
             "correlation": correlation}
@@ -193,8 +211,10 @@ def run_sweep(spec: SweepSpec, jobs: int = None) -> dict:
     """Run the sweep and write summary.csv, thresholds.csv, correlation.csv.
 
     Members run in a process pool (``jobs`` workers, default one per
-    core); rows are assembled in deterministic config order afterward.
-    Returns the paths of the three CSVs.
+    core); rows are assembled in deterministic config order afterward. A
+    member whose worker process dies gets error rows like any other
+    failed member, and members that finished keep theirs. Returns the
+    paths of the three CSVs.
     """
     os.makedirs(spec.out_dir, exist_ok=True)
     payloads = [
@@ -209,7 +229,13 @@ def run_sweep(spec: SweepSpec, jobs: int = None) -> dict:
         results = [_sweep_value_worker(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_value_worker, payloads))
+            futures = [pool.submit(_sweep_value_worker, p) for p in payloads]
+            results = []
+            for future, (_, value, precs, *_rest) in zip(futures, payloads):
+                try:
+                    results.append(future.result())
+                except Exception as exc:  # the worker process died
+                    results.append(_failed_member(value, precs, exc))
 
     summary, thresholds, correlation = [], [], []
     for res in results:
@@ -312,7 +338,7 @@ def _cmd_nev_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    precs = ("uzawa", "simple") if args.prec == "both" else (args.prec,)
+    precs = PRECONDITIONERS if args.prec == "both" else (args.prec,)
     spec = SweepSpec(
         base=PackingParams(
             N=args.N, n_c=args.nc, n_avg=args.navg[0], n_min=args.nmin,
@@ -375,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve for flow and permeability")
     solve.add_argument("geometry")
-    solve.add_argument("--prec", choices=("uzawa", "simple"), default="simple")
+    solve.add_argument("--prec", choices=PRECONDITIONERS, default="simple")
     solve.add_argument("--flow-dir", choices=("x", "y", "z"), default="x")
     solve.add_argument("--k-ref", type=float, default=None,
                        help="reference permeability for error curves")
@@ -412,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--navg", type=int, nargs="+",
                        default=[4, 6, 8, 10, 12])
     sweep.add_argument("--seed", type=int, default=42)
-    sweep.add_argument("--prec", choices=("uzawa", "simple", "both"),
+    sweep.add_argument("--prec", choices=PRECONDITIONERS + ("both",),
                        default="both")
     sweep.add_argument("--profile", choices=sorted(TOLERANCE_PROFILES),
                        default="paper2d")
@@ -430,7 +456,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        print(_error_status(exc), file=sys.stderr)
         return 1
 
 

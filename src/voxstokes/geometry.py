@@ -34,14 +34,11 @@ class VoxelGrid:
     ----------
     fluid : ndarray of bool
         Indicator array, True where the voxel is fluid. Must be a square
-        (2D) or cube (3D) with at least 2 voxels per axis.
-    physical_length : float
-        Physical side length of the sample. Fixed to 1.0; everything
-        downstream assumes a unit domain.
+        (2D) or cube (3D) with at least 2 voxels per axis. The grid
+        covers the unit square or cube, so the mesh width is 1/n.
     """
 
     fluid: np.ndarray
-    physical_length: float = 1.0
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.fluid, dtype=bool).copy()
@@ -51,8 +48,6 @@ class VoxelGrid:
             raise ValueError(f"grid must be cubic, got shape {arr.shape}")
         if arr.shape[0] < 2:
             raise ValueError(f"grid extent must be at least 2, got {arr.shape[0]}")
-        if self.physical_length != 1.0:
-            raise ValueError("physical_length is fixed to 1.0")
         arr.setflags(write=False)
         object.__setattr__(self, "fluid", arr)
 

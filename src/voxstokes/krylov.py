@@ -21,19 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
 
 __all__ = [
+    "NORM_KINDS",
     "PcgConfig",
     "PcgResult",
     "pcg",
     "lanczos_condition_estimate",
     "jacobi_prec",
-    "ssor_prec",
 ]
 
-_NORM_KINDS = ("preconditioned", "unpreconditioned")
+NORM_KINDS = ("preconditioned", "unpreconditioned")
 
 
 @dataclass(frozen=True)
@@ -49,9 +47,9 @@ class PcgConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.norm_kind not in _NORM_KINDS:
+        if self.norm_kind not in NORM_KINDS:
             raise ValueError(
-                f"norm_kind must be one of {_NORM_KINDS}, got {self.norm_kind!r}"
+                f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}"
             )
 
 
@@ -213,32 +211,3 @@ def jacobi_prec(diag):
     inv = 1.0 / diag
     return lambda r: r * inv
 
-
-def ssor_prec(matrix, omega: float = 1.0):
-    """Symmetric successive over-relaxation preconditioner for a sparse SPD matrix.
-
-    omega = 1 gives symmetric Gauss-Seidel. The returned callable applies
-    the inverse of (D/w + L) (D/w)^-1 (D/w + U) * w/(2-w) via two
-    triangular solves. Any symmetric preconditioner with the same
-    signature can stand in for this one in pcg.
-    """
-    if not 0.0 < omega < 2.0:
-        raise ValueError(f"omega must lie in (0, 2), got {omega}")
-    csr = sp.csr_matrix(matrix)
-    diag = csr.diagonal().copy()
-    if np.any(diag <= 0):
-        raise ValueError("nonpositive diagonal entry in ssor preconditioner")
-    d_scaled = sp.diags(diag / omega)
-    lower = (sp.tril(csr, k=-1) + d_scaled).tocsr()
-    upper = (sp.triu(csr, k=1) + d_scaled).tocsr()
-    # inverse action: ((2 - w) / w) * (D/w + U)^-1 D (D/w + L)^-1
-    scale = (2.0 - omega) / omega
-
-    def apply(r):
-        t = spsolve_triangular(lower, r, lower=True)
-        t *= diag
-        z = spsolve_triangular(upper, t, lower=False)
-        z *= scale
-        return z
-
-    return apply

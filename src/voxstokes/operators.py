@@ -24,6 +24,12 @@ with unit largest eigenvalue on connected geometries.
 Velocity unknowns are numbered axis-major (all x faces, then y, then z),
 row-major by face coordinate within each axis; pressure unknowns are
 row-major over fluid voxels. All orderings are deterministic.
+
+Each operator has one sparse representation, built once by
+:func:`assemble` from unscaled 0/1 and +-1 incidence matrices. The 1/h
+and 1/h^2 scales are applied outside the sparse products, and every row
+sum runs in a fixed order, so applies and exports are bitwise
+reproducible.
 """
 from __future__ import annotations
 
@@ -39,7 +45,6 @@ __all__ = [
     "StaggeredSystem",
     "assemble",
     "axis_index",
-    "write_triplets",
 ]
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
@@ -79,36 +84,43 @@ class DofMap:
         """Face coordinates of axis unknowns, in unknown order, shape (count, dim)."""
         return np.argwhere(self.face_ids[axis] >= 0)
 
-    def pressure_coords(self) -> np.ndarray:
-        return np.argwhere(self.pressure_ids >= 0)
-
 
 class StaggeredSystem:
-    """Matrix-free discrete Stokes operators over one voxel grid.
+    """Discrete Stokes operators over one voxel grid.
 
-    Use :func:`assemble` to build one. The heavy arrays are precomputed
-    neighbor index tables; every apply is a few fancy-indexing gathers
-    with a fixed reduction order, so repeated applies are bitwise
-    reproducible.
+    Use :func:`assemble` to build one. Besides the scaled Laplacian
+    diagonal ``laplacian_diag`` the system holds two unscaled incidence
+    matrices:
+
+    * the stencil adjacency N (m_u x m_u, entries 1): row i lists the
+      existing neighbor faces of face i in stencil-slot order, so a face
+      reached through two slots (periodic grids two voxels wide) appears
+      twice;
+    * one gradient block G_a per axis (count_a x m_p, entries +-1): the
+      row of a face holds +1 at the voxel above it, then -1 at the voxel
+      below.
+
+    Then A = diag - N/h^2, B^T stacks the blocks G_a/h, and B sums the
+    G_a^T/h one axis at a time.
     """
 
-    def __init__(self, grid, dof_map, flow_dir, diag, neighbors,
-                 div_in, div_out, grad_hi, grad_lo):
+    def __init__(self, grid, dof_map, flow_dir, diag, adjacency, gradient_blocks):
         self.grid = grid
         self.dof_map = dof_map
         self.flow_dir = flow_dir
-        self.h = grid.physical_length / grid.n
+        self.h = 1.0 / grid.n
         self.laplacian_diag = diag
-        self._nb = neighbors
-        self._div_in = div_in
-        self._div_out = div_out
-        self._grad_hi = grad_hi
-        self._grad_lo = grad_lo
+        self._adjacency = adjacency
+        self._gradient_blocks = gradient_blocks
+        self._divergence_blocks = tuple(block.T for block in gradient_blocks)
+        self._axis_slices = tuple(
+            slice(lo, lo + count)
+            for lo, count in zip(dof_map.axis_offsets, dof_map.axis_counts)
+        )
         self._inv_h2 = 1.0 / self.h**2
         self._inv_h = 1.0 / self.h
         force = np.zeros(dof_map.m_u)
-        lo = dof_map.axis_offsets[flow_dir]
-        force[lo : lo + dof_map.axis_counts[flow_dir]] = 1.0
+        force[self._axis_slices[flow_dir]] = 1.0
         force.setflags(write=False)
         self.force = force
 
@@ -128,82 +140,47 @@ class StaggeredSystem:
             )
         return vec
 
+    def _sum_over_axes(self, blocks, u):
+        # one partial sum per axis, added in axis order: summing all faces
+        # of a voxel in a single sparse product would round differently
+        return sum(block @ u[rows] for block, rows in zip(blocks, self._axis_slices))
+
     def apply_laplacian(self, u) -> np.ndarray:
         """Negative vector Laplacian with no-slip walls, scaled by 1/h^2."""
         u = self._check(u, self.m_u, "velocity")
-        padded = np.append(u, 0.0)
-        return self.laplacian_diag * u - self._inv_h2 * padded[self._nb].sum(axis=1)
+        return self.laplacian_diag * u - self._inv_h2 * (self._adjacency @ u)
 
     def apply_divergence(self, u) -> np.ndarray:
         """Negative discrete divergence, one value per fluid voxel, scaled by 1/h."""
         u = self._check(u, self.m_u, "velocity")
-        padded = np.append(u, 0.0)
-        out = np.zeros(self.m_p)
-        for a in range(self.grid.dim):
-            out += padded[self._div_in[a]] - padded[self._div_out[a]]
-        return out * self._inv_h
+        return self._sum_over_axes(self._divergence_blocks, u) * self._inv_h
 
     def apply_gradient(self, p) -> np.ndarray:
         """Pressure gradient on velocity faces, the exact transpose of the divergence."""
         p = self._check(p, self.m_p, "pressure")
-        parts = [
-            (p[self._grad_hi[a]] - p[self._grad_lo[a]]) * self._inv_h
-            for a in range(self.grid.dim)
-        ]
-        return np.concatenate(parts)
+        parts = [block @ p for block in self._gradient_blocks]
+        return np.concatenate(parts) * self._inv_h
 
     def matrix_laplacian(self) -> sp.csr_matrix:
         """Explicit sparse Laplacian, equal to apply_laplacian on every vector."""
-        m, width = self._nb.shape
-        rows = np.repeat(np.arange(m), width)
-        cols = self._nb.ravel()
-        keep = cols < m
-        mat = sp.coo_matrix(
-            (
-                np.concatenate(
-                    [self.laplacian_diag, np.full(keep.sum(), -self._inv_h2)]
-                ),
-                (
-                    np.concatenate([np.arange(m), rows[keep]]),
-                    np.concatenate([np.arange(m), cols[keep]]),
-                ),
-            ),
-            shape=(m, m),
-        ).tocsr()
-        mat.sum_duplicates()
-        mat.sort_indices()
+        mat = sp.diags(self.laplacian_diag) - self._inv_h2 * self._adjacency
+        mat.sum_duplicates()  # N keeps stencil order; exports are sorted by column
         return mat
 
     def matrix_divergence(self) -> sp.csr_matrix:
         """Explicit sparse divergence operator."""
-        rows, cols, vals = [], [], []
-        for a in range(self.grid.dim):
-            for ids, sign in ((self._div_in[a], 1.0), (self._div_out[a], -1.0)):
-                keep = ids < self.m_u
-                rows.append(np.nonzero(keep)[0])
-                cols.append(ids[keep])
-                vals.append(np.full(keep.sum(), sign * self._inv_h))
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.m_p, self.m_u),
-        ).tocsr()
-        mat.sum_duplicates()
-        mat.sort_indices()
-        return mat
+        return (sp.vstack(self._gradient_blocks).T * self._inv_h).tocsr()
 
     def divergence_weighted_diagonal(self, face_weights) -> np.ndarray:
         """Diagonal of B W B^T for a diagonal face weighting W.
 
         Every divergence row holds +-1/h at the existing faces of one
         voxel, so the diagonal is the weight sum over those faces times
-        1/h^2. Eliminated faces carry weight zero.
+        1/h^2.
         """
         w = self._check(face_weights, self.m_u, "face weight")
-        padded = np.append(w, 0.0)
-        out = np.zeros(self.m_p)
-        for a in range(self.grid.dim):
-            out += padded[self._div_in[a]] + padded[self._div_out[a]]
-        return out * self._inv_h2
+        blocks = [abs(block) for block in self._divergence_blocks]
+        return self._sum_over_axes(blocks, w) * self._inv_h2
 
 
 def assemble(grid: VoxelGrid, flow_dir=0, *, check_connectivity: bool = True,
@@ -257,58 +234,52 @@ def assemble(grid: VoxelGrid, flow_dir=0, *, check_connectivity: bool = True,
         m_p=m_p,
     )
 
-    inv_h2 = (grid.n / grid.physical_length) ** 2
-    neighbor_cols = []
-    diag_parts = []
+    inv_h2 = float(grid.n) ** 2
+    diag = np.zeros(m_u)
+    # neighbor face id per stencil slot, -1 where that face is eliminated
+    neighbors = np.empty((m_u, 2 * dim), dtype=np.int32)
     for a in range(dim):
         mask = face_masks[a]
-        count = axis_counts[a]
-        diag = np.zeros(count)
-        cols = np.empty((count, 2 * dim), dtype=np.int64)
+        rows = slice(axis_offsets[a], axis_offsets[a] + axis_counts[a])
         slot = 0
         for d in range(dim):
             for s in (1, -1):
                 nb = np.roll(face_ids[a], -s, axis=d)[mask]
                 if d == a:
-                    diag += 1.0
+                    diag[rows] += 1.0
                 else:
                     # voxels on both sides of the missing neighbor face
                     hi = np.roll(fluid, -s, axis=d)
                     lo = np.roll(np.roll(fluid, 1, axis=a), -s, axis=d)
                     both_solid = (~hi & ~lo)[mask]
-                    diag += np.where((nb < 0) & both_solid, 2.0, 1.0)
-                cols[:, slot] = np.where(nb < 0, m_u, nb)
+                    diag[rows] += np.where((nb < 0) & both_solid, 2.0, 1.0)
+                neighbors[rows, slot] = nb
                 slot += 1
-        neighbor_cols.append(cols)
-        diag_parts.append(diag)
-    neighbors = np.vstack(neighbor_cols)
-    diag = np.concatenate(diag_parts) * inv_h2
+    diag *= inv_h2
     diag.setflags(write=False)
 
-    sentinel = m_u
-    div_in, div_out, grad_hi, grad_lo = [], [], [], []
-    for a in range(dim):
-        ids = face_ids[a]
-        div_in.append(np.where(ids[fluid] < 0, sentinel, ids[fluid]))
-        out_ids = np.roll(ids, -1, axis=a)[fluid]
-        div_out.append(np.where(out_ids < 0, sentinel, out_ids))
-        mask = face_masks[a]
-        grad_hi.append(pressure_ids[mask])
-        grad_lo.append(np.roll(pressure_ids, 1, axis=a)[mask])
-
-    return StaggeredSystem(
-        grid, dof_map, flow_dir, diag, neighbors,
-        div_in, div_out, grad_hi, grad_lo,
+    present = neighbors >= 0
+    indptr = np.zeros(m_u + 1, dtype=np.int32)
+    # running count of present slots, read at the last slot of each row
+    indptr[1:] = np.cumsum(present, dtype=np.int32)[2 * dim - 1 :: 2 * dim]
+    adjacency = sp.csr_matrix(
+        (np.ones(indptr[-1]), neighbors[present], indptr), shape=(m_u, m_u)
     )
 
-
-def write_triplets(matrix, path) -> None:
-    """Write a sparse matrix as text lines ``row col value``, 0-based,
-    sorted row-major, 17 significant digits."""
-    csr = sp.csr_matrix(matrix)
-    csr.sum_duplicates()
-    csr.sort_indices()
-    coo = csr.tocoo()
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            handle.write(f"{r} {c} {v:.17g}\n")
+    gradient_blocks = []
+    for a, mask in enumerate(face_masks):
+        count = axis_counts[a]
+        above_below = np.empty((count, 2), dtype=np.int32)
+        above_below[:, 0] = pressure_ids[mask]
+        above_below[:, 1] = np.roll(pressure_ids, 1, axis=a)[mask]
+        gradient_blocks.append(sp.csr_matrix(
+            (
+                np.tile([1.0, -1.0], count),
+                above_below.ravel(),
+                np.arange(0, 2 * count + 1, 2, dtype=np.int32),
+            ),
+            shape=(count, m_p),
+        ))
+    return StaggeredSystem(
+        grid, dof_map, flow_dir, diag, adjacency, tuple(gradient_blocks)
+    )

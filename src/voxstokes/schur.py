@@ -20,6 +20,7 @@ permeability history comes from. A final direct velocity refresh
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 import warnings
@@ -28,10 +29,11 @@ from typing import Optional
 
 import numpy as np
 
-from .krylov import PcgConfig, jacobi_prec, lanczos_condition_estimate, pcg
+from .krylov import NORM_KINDS, PcgConfig, jacobi_prec, lanczos_condition_estimate, pcg
 from .operators import StaggeredSystem, axis_index
 
 __all__ = [
+    "PRECONDITIONERS",
     "SchurConfig",
     "SolveReport",
     "TOLERANCE_PROFILES",
@@ -43,8 +45,7 @@ __all__ = [
     "permeability",
 ]
 
-_PRECONDITIONERS = ("uzawa", "simple")
-_NORM_KINDS = ("preconditioned", "unpreconditioned")
+PRECONDITIONERS = ("uzawa", "simple")
 
 # the two tolerance regimes used throughout the experiments, plus the
 # tighter regime that produces reference permeabilities for error curves
@@ -75,13 +76,13 @@ class SchurConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.prec not in _PRECONDITIONERS:
+        if self.prec not in PRECONDITIONERS:
             raise ValueError(
-                f"prec must be one of {_PRECONDITIONERS}, got {self.prec!r}"
+                f"prec must be one of {PRECONDITIONERS}, got {self.prec!r}"
             )
-        if self.outer_norm not in _NORM_KINDS:
+        if self.outer_norm not in NORM_KINDS:
             raise ValueError(
-                f"outer_norm must be one of {_NORM_KINDS}, got {self.outer_norm!r}"
+                f"outer_norm must be one of {NORM_KINDS}, got {self.outer_norm!r}"
             )
         for name in ("eps_S", "eps_A", "eps_Shat"):
             value = getattr(self, name)
@@ -136,7 +137,6 @@ class SolveReport:
     config: SchurConfig = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
-        cfg = self.config
         out = {
             "converged": bool(self.converged),
             "k_value": float(self.k_value),
@@ -155,17 +155,8 @@ class SolveReport:
                 else [float(v) for v in self.perm_err_history]
             ),
         }
-        if cfg is not None:
-            out["config"] = {
-                "prec": cfg.prec,
-                "eps_S": cfg.eps_S,
-                "outer_norm": cfg.outer_norm,
-                "eps_A": cfg.eps_A,
-                "eps_Shat": cfg.eps_Shat,
-                "flow_dir": cfg.flow_dir,
-                "k_ref": cfg.k_ref,
-                "max_iter": cfg.max_iter,
-            }
+        if self.config is not None:
+            out["config"] = dataclasses.asdict(self.config)
         return out
 
     def write_json(self, path) -> None:
@@ -193,27 +184,38 @@ def _none_or_float(value):
     return None if value is None else float(value)
 
 
-def _inner_max_iter(m: int) -> int:
-    return max(1000, 2 * m)
+def _inner_solve(sys: StaggeredSystem, rhs, eps: float, x0=None, simple_diag=None):
+    """Jacobi-preconditioned inner CG, stopping on the preconditioned residual.
 
+    Solves A x = rhs, or with ``simple_diag`` (the diagonal of
+    B diag(A)^-1 B^T) that operator on the zero-mean subspace. Returns
+    (x, iterations) and raises RuntimeError when the solve does not converge.
+    """
+    if simple_diag is None:
+        op, diag, what = sys.apply_laplacian, sys.laplacian_diag, "inner velocity solve"
+    else:
+        inv_diag = 1.0 / sys.laplacian_diag
 
-def _solve_velocity(sys: StaggeredSystem, rhs, eps: float, x0=None):
-    """Inner Jacobi-preconditioned CG on the velocity Laplacian."""
+        def op(p):
+            return sys.apply_divergence(sys.apply_gradient(p) * inv_diag)
+
+        diag, what = simple_diag, "inner pressure preconditioner solve"
     res = pcg(
-        sys.apply_laplacian,
-        jacobi_prec(sys.laplacian_diag),
+        op,
+        jacobi_prec(diag),
         rhs,
         x0,
         PcgConfig(
             tol=eps,
             norm_kind="preconditioned",
-            max_iter=_inner_max_iter(sys.m_u),
+            max_iter=max(1000, 2 * len(diag)),
+            project_nullspace=simple_diag is not None,
             record_history=False,
         ),
     )
     if not res.converged:
         raise RuntimeError(
-            "inner velocity solve did not converge: relative residual "
+            f"{what} did not converge: relative residual "
             f"{res.res_prec[-1] / res.res_prec[0]:.3e} after {res.iterations} iterations"
         )
     return res.solution, res.iterations
@@ -221,55 +223,21 @@ def _solve_velocity(sys: StaggeredSystem, rhs, eps: float, x0=None):
 
 def apply_schur(sys: StaggeredSystem, p, eps_A: float):
     """Apply S = B A^-1 B^T. Returns (S p, w) with w = A^-1 B^T p."""
-    w, _ = _solve_velocity(sys, sys.apply_gradient(p), eps_A)
+    w, _ = _inner_solve(sys, sys.apply_gradient(p), eps_A)
     return sys.apply_divergence(w), w
 
 
 def schur_rhs(sys: StaggeredSystem, eps_A: float):
     """Right-hand side g = B A^-1 f. Returns (g, u_f) with u_f = A^-1 f."""
-    u_f, _ = _solve_velocity(sys, sys.force, eps_A)
+    u_f, _ = _inner_solve(sys, sys.force, eps_A)
     return sys.apply_divergence(u_f), u_f
-
-
-def _simple_operator(sys: StaggeredSystem):
-    inv_diag = 1.0 / sys.laplacian_diag
-
-    def apply(p):
-        return sys.apply_divergence(sys.apply_gradient(p) * inv_diag)
-
-    return apply
 
 
 def apply_simple_inverse(sys: StaggeredSystem, r, eps_Shat: float):
     """Solve (B diag(A)^-1 B^T) z = r on the zero-mean subspace."""
-    z, _ = _solve_simple(sys, _simple_operator(sys),
-                         jacobi_prec(sys.divergence_weighted_diagonal(
-                             1.0 / sys.laplacian_diag)),
-                         r, eps_Shat)
+    simple_diag = sys.divergence_weighted_diagonal(1.0 / sys.laplacian_diag)
+    z, _ = _inner_solve(sys, r, eps_Shat, simple_diag=simple_diag)
     return z
-
-
-def _solve_simple(sys, op, prec, r, eps_Shat):
-    res = pcg(
-        op,
-        prec,
-        r,
-        None,
-        PcgConfig(
-            tol=eps_Shat,
-            norm_kind="preconditioned",
-            max_iter=_inner_max_iter(sys.m_p),
-            project_nullspace=True,
-            record_history=False,
-        ),
-    )
-    if not res.converged:
-        raise RuntimeError(
-            "inner pressure preconditioner solve did not converge: relative "
-            f"residual {res.res_prec[-1] / res.res_prec[0]:.3e} after "
-            f"{res.iterations} iterations"
-        )
-    return res.solution, res.iterations
 
 
 def permeability(sys: StaggeredSystem, u) -> float:
@@ -310,19 +278,16 @@ def solve_schur(sys: StaggeredSystem, cfg: SchurConfig) -> SolveReport:
     last_w = [None]
 
     def outer_op(p):
-        w, iters = _solve_velocity(sys, sys.apply_gradient(p), cfg.eps_A)
+        w, iters = _inner_solve(sys, sys.apply_gradient(p), cfg.eps_A)
         inner_totals["velocity"] += iters
         last_w[0] = w
         return sys.apply_divergence(w)
 
     if cfg.prec == "simple":
-        simple_op = _simple_operator(sys)
-        simple_diag_prec = jacobi_prec(
-            sys.divergence_weighted_diagonal(1.0 / sys.laplacian_diag)
-        )
+        simple_diag = sys.divergence_weighted_diagonal(1.0 / sys.laplacian_diag)
 
         def outer_prec(r):
-            z, iters = _solve_simple(sys, simple_op, simple_diag_prec, r, cfg.eps_Shat)
+            z, iters = _inner_solve(sys, r, cfg.eps_Shat, simple_diag=simple_diag)
             inner_totals["preconditioner"] += iters
             return z
     else:
@@ -351,7 +316,7 @@ def solve_schur(sys: StaggeredSystem, cfg: SchurConfig) -> SolveReport:
 
     pressure = outer.solution
     refresh_rhs = sys.force - sys.apply_gradient(pressure)
-    velocity, refresh_iters = _solve_velocity(sys, refresh_rhs, cfg.eps_A, x0=u)
+    velocity, refresh_iters = _inner_solve(sys, refresh_rhs, cfg.eps_A, x0=u)
     inner_totals["velocity"] += refresh_iters
     k_value = permeability(sys, velocity)
     perm_history[-1] = k_value

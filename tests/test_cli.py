@@ -1,10 +1,14 @@
 """End-to-end tests of the command line interface."""
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from voxstokes import cli
 from voxstokes.cli import main, read_csv_rows
 
 
@@ -177,6 +181,42 @@ def test_sweep_outputs(tmp_path, capsys):
     assert (out / "navg4_uzawa.json").exists()
     assert (out / "navg6_simple.csv").exists()
     assert (out / "navg4_reference.json").exists()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched generator")
+def test_sweep_survives_killed_worker(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "sweep"
+    finished = out / "navg4_simple.csv"  # the last artifact member 4 writes
+    generate = cli.generate_packing
+
+    def generate_or_die(params):
+        if params.n_avg == 6:
+            deadline = time.monotonic() + 120
+            while not finished.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.5)  # let member 4 hand its rows back first
+            os._exit(1)
+        return generate(params)
+
+    monkeypatch.setattr(cli, "generate_packing", generate_or_die)
+    assert run_cli(sweep_args(out, jobs=2)) == 0
+    capsys.readouterr()
+
+    summary = read_csv_rows(out / "summary.csv")
+    assert [(row["n_avg"], row["prec"]) for row in summary] == [
+        ("4", "uzawa"), ("4", "simple"), ("6", "uzawa"), ("6", "simple"),
+    ]
+    assert [row["status"] for row in summary[:2]] == ["ok", "ok"]
+    for row in summary[2:]:
+        assert row["status"].startswith("error: ")
+        assert "terminated abruptly" in row["status"]
+        assert row["iters"] == ""
+    assert {row["n_avg"] for row in read_csv_rows(out / "thresholds.csv")} == {"4"}
+    correlation = read_csv_rows(out / "correlation.csv")
+    assert [row["n_avg"] for row in correlation] == ["4", "6"]
+    assert float(correlation[0]["cond_S"]) > 1
+    assert correlation[1]["cond_S"] == correlation[1]["stv_pct"] == ""
 
 
 def test_sweep_deterministic_and_parallel(tmp_path, capsys):

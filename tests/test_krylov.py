@@ -7,7 +7,6 @@ from voxstokes.krylov import (
     jacobi_prec,
     lanczos_condition_estimate,
     pcg,
-    ssor_prec,
 )
 
 
@@ -175,28 +174,3 @@ def test_jacobi_prec():
     assert np.allclose(halver(v), v / 2.0)
     with pytest.raises(ValueError, match="nonpositive"):
         jacobi_prec(np.array([1.0, 0.0]))
-
-
-def test_ssor_reduces_iterations():
-    mat = dirichlet_laplacian_1d(64)
-    rhs = np.random.default_rng(7).standard_normal(64)
-    plain = pcg(lambda v: mat @ v, None, rhs, None, PcgConfig(tol=1e-10, max_iter=500))
-    ssor = pcg(lambda v: mat @ v, ssor_prec(mat), rhs, None,
-               PcgConfig(tol=1e-10, max_iter=500))
-    assert plain.converged and ssor.converged
-    assert ssor.iterations <= 0.75 * plain.iterations
-    sol = np.linalg.solve(mat.toarray(), rhs)
-    assert np.allclose(ssor.solution, sol, rtol=1e-7)
-
-
-def test_ssor_is_symmetric_positive():
-    mat = dirichlet_laplacian_1d(20)
-    apply_m = ssor_prec(mat, omega=1.3)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        u = rng.standard_normal(20)
-        v = rng.standard_normal(20)
-        assert apply_m(u) @ v == pytest.approx(u @ apply_m(v), rel=1e-11, abs=1e-13)
-        assert u @ apply_m(u) > 0
-    with pytest.raises(ValueError, match="omega"):
-        ssor_prec(mat, omega=2.0)

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from voxstokes.geometry import PackingParams, VoxelGrid, generate_packing
-from voxstokes.operators import assemble, axis_index, write_triplets
+from voxstokes.operators import assemble, axis_index
 
 
 @pytest.fixture(scope="module")
@@ -172,19 +174,6 @@ def test_axis_index():
         axis_index("w", 2)
 
 
-def test_triplet_export(tmp_path, packing_system):
-    sys = packing_system
-    path = tmp_path / "b.txt"
-    write_triplets(sys.matrix_divergence(), path)
-    lines = path.read_text().strip().split("\n")
-    rows = [line.split() for line in lines]
-    assert all(len(r) == 3 for r in rows)
-    parsed = [(int(r[0]), int(r[1]), float(r[2])) for r in rows]
-    assert parsed == sorted(parsed, key=lambda t: (t[0], t[1]))
-    b_mat = sys.matrix_divergence().tocoo()
-    assert len(parsed) == b_mat.nnz
-
-
 def test_3d_assembly_basics():
     grid = generate_packing(
         PackingParams(N=1, n_c=6, n_avg=2, n_min=2, seed=0, dim=3)
@@ -199,3 +188,72 @@ def test_3d_assembly_basics():
     assert abs(sys.apply_divergence(u) @ p - u @ sys.apply_gradient(p)) \
         <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(p)
     assert u @ sys.apply_laplacian(u) > 0
+
+
+# sha256 of the bytes of every apply on seeded vectors and of the
+# indptr/indices/data of both exports. Any change to the arithmetic or
+# the summation order of an operator shows up here, even one far below
+# the tolerances of the comparisons above.
+BIT_PATTERNS = {
+    "packing2d": {
+        "apply_laplacian": "8f82ca17d0dfe0bc7960826d6b744a56136c75ae9431605ac3ac43fabad0afd8",
+        "apply_divergence": "061b9a2aed7f320c4ffb2f42cf080ef2746dbf68075393338eec88ad2cbd7d22",
+        "apply_gradient": "7760720ddbf9ea0e525ea6b86a51cbb4f4245f493eddbf86f1672df7f9bca646",
+        "weighted_diagonal": "3c217e780fe62183ea455def55aeee98ce6fff773b5242cd0c5e23f7a1c8199f",
+        "matrix_laplacian": "3f56bbac3995a5428f1111ee5abd76ac52ecea44297eca60e8189127373e8e68",
+        "matrix_divergence": "e3f56800075263a4e297b4f8b78dfe351fbfd12bf0e4b81e2ab004e387c3f31a",
+    },
+    "packing3d": {
+        "apply_laplacian": "c9798498d0855019f755366bf3627e8e07cddb56315cba06730003c25dda516d",
+        "apply_divergence": "5d25e56fcd594366127bddb957f7f10c05d7bac98940273cfac7675c824faa45",
+        "apply_gradient": "43f5cd1680932883c4fd34cfa1ca3332c3d2dacf4be350a12c07e37ed259d2d7",
+        "weighted_diagonal": "220aa3208a8ae310403480fc581b1f2058cd07d39510d52783755baf193b2c09",
+        "matrix_laplacian": "db6a0393ddaff6067fbec73fe6e9375b0e3dcf68f14908af9d73e1cc98475b19",
+        "matrix_divergence": "3356f47bd680c568afc55cb7e40a179c0bfbe001f58b4da4169e7fd9ca046aa4",
+    },
+    "two_by_two": {
+        "apply_laplacian": "123ff31f3fbbe69b141466db8e4eb9e67ba399db19dc1ddbbc8c8d95b5def1bd",
+        "apply_divergence": "5f0ef92570839a0b1b892f3278905e9de9ba6fd61f23e8390413256b74c5e3bc",
+        "apply_gradient": "563b14098bd4ec5b638a1ae117f7734076346b7349a301988d9edfbf48389b86",
+        "weighted_diagonal": "2732b17d4c92a8359d85fac7f93fabe9f635cf0e4ff6d3e01073d9e3801814b1",
+        "matrix_laplacian": "2586ab9bf5d37f3c6aee0ac43cd44d331c008d833bee668603b30cc692985ede",
+        "matrix_divergence": "d6809a3f8396fc181bb83be2126a2ff049ea45147ddb15dba34fa8585e030526",
+    },
+}
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(BIT_PATTERNS))
+def test_operator_bit_patterns(case):
+    grid = {
+        "packing2d": lambda: generate_packing(
+            PackingParams(N=2, n_c=10, n_avg=4, n_min=2, seed=11)
+        ),
+        "packing3d": lambda: generate_packing(
+            PackingParams(N=2, n_c=6, n_avg=2, n_min=2, seed=5, dim=3)
+        ),
+        "two_by_two": lambda: VoxelGrid(np.array([[True, True], [True, False]])),
+    }[case]()
+    sys = assemble(grid, flow_dir=0)
+    rng = np.random.default_rng(2024)
+    u = rng.standard_normal(sys.m_u)
+    p = rng.standard_normal(sys.m_p)
+    a_mat = sys.matrix_laplacian()
+    b_mat = sys.matrix_divergence()
+    got = {
+        "apply_laplacian": _sha256(sys.apply_laplacian(u)),
+        "apply_divergence": _sha256(sys.apply_divergence(u)),
+        "apply_gradient": _sha256(sys.apply_gradient(p)),
+        "weighted_diagonal": _sha256(
+            sys.divergence_weighted_diagonal(1.0 / sys.laplacian_diag)
+        ),
+        "matrix_laplacian": _sha256(a_mat.indptr, a_mat.indices, a_mat.data),
+        "matrix_divergence": _sha256(b_mat.indptr, b_mat.indices, b_mat.data),
+    }
+    assert got == BIT_PATTERNS[case]

@@ -1,9 +1,11 @@
 """Tests for the pressure Schur complement driver."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from voxstokes import schur
 from voxstokes.geometry import PackingParams, VoxelGrid, generate_packing
 from voxstokes.operators import assemble
 from voxstokes.schur import (
@@ -200,6 +202,10 @@ def test_solve_report_invariants(packing_system, tmp_path):
     assert loaded["k_value"] == rep.k_value
     assert loaded["iters_outer"] == n
     assert loaded["config"]["prec"] == "simple"
+    assert list(loaded["config"]) == [
+        "prec", "eps_S", "outer_norm", "eps_A", "eps_Shat",
+        "flow_dir", "k_ref", "max_iter",
+    ]
     assert len(loaded["perm_history"]) == n + 1
 
     csv_path = tmp_path / "report.csv"
@@ -265,6 +271,34 @@ def test_max_iter_exhaustion_is_reported():
     assert rep.iters_outer == 2
     assert len(rep.perm_history) == 3
     assert np.isfinite(rep.k_value)
+
+
+def test_inner_solve_failures_name_the_solve(packing_system, monkeypatch):
+    sys = packing_system
+    assert sys.m_u != sys.m_p
+    pcg = schur.pcg
+
+    def stop_inner_solves_of_length(length):
+        def pcg_one_step(op, prec, rhs, x0, cfg, step_hook=None):
+            if len(rhs) == length and not cfg.record_history:
+                cfg = dataclasses.replace(cfg, max_iter=1)
+            return pcg(op, prec, rhs, x0, cfg, step_hook)
+
+        monkeypatch.setattr(schur, "pcg", pcg_one_step)
+
+    tail = r" did not converge: relative residual \S+ after 1 iterations$"
+    stop_inner_solves_of_length(sys.m_u)
+    for call in (lambda: schur_rhs(sys, 1e-10),
+                 lambda: solve_schur(sys, profile_config("paper2d", "uzawa"))):
+        with pytest.raises(RuntimeError, match="^inner velocity solve" + tail):
+            call()
+    stop_inner_solves_of_length(sys.m_p)
+    r = np.random.default_rng(6).standard_normal(sys.m_p)
+    for call in (lambda: apply_simple_inverse(sys, r - r.mean(), 1e-10),
+                 lambda: solve_schur(sys, profile_config("paper2d", "simple"))):
+        with pytest.raises(RuntimeError,
+                           match="^inner pressure preconditioner solve" + tail):
+            call()
 
 
 def test_flow_dir_mismatch(packing_system):
